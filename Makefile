@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke fuzz-smoke property soak-smoke ci
+.PHONY: build test race vet lint lint-fixtures spec-validate bench benchdiff bench-smoke bench-gate fleet-smoke replay-smoke perfbench-test fuzz-smoke property soak-smoke ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,14 @@ replay-smoke:
 	cmp $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
 	rm -f $(REPLAY_SMOKE_DIR)/hpm-replay-smoke.trace.gz $(REPLAY_SMOKE_DIR)/hpm-replay-live.json $(REPLAY_SMOKE_DIR)/hpm-replay-replayed.json
 
+# The benchmark harness's own tests (a separate module under perfbench/).
+# Among them TestMirrorsSpsim builds spsim and requires `spsim -workers 1
+# -days 2 -seed 9 -o` to write the same database bytes as the library
+# campaign the benchmark times, so the CLI's run path cannot drift from
+# what the benchmark measures.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Short fuzzing pass over every fuzz target (committed corpora plus
 # FUZZTIME of fresh exploration per target). go test allows one -fuzz
 # pattern per invocation, so each target gets its own run.
@@ -108,4 +116,4 @@ property:
 soak-smoke:
 	$(GO) test -race -run 'TestSoak' -count=1 ./internal/rs2hpm/loadtest/
 
-ci: build vet test race lint lint-fixtures spec-validate fleet-smoke replay-smoke soak-smoke bench-gate
+ci: build vet test race lint lint-fixtures spec-validate fleet-smoke replay-smoke perfbench-test soak-smoke bench-gate

@@ -1,10 +1,11 @@
 package main
 
-// The experiments CLI contract for the fleet flags: validation exit
-// codes (2 malformed invocation, 1 runtime failure — the spsim
-// convention) and the -trace conflict. Fleet execution itself is
-// exercised through cmd/spsim and internal/fleet; only the cheap
-// reject-early paths run a binary here.
+// The experiments CLI contract: every table and figure of a fresh run,
+// validation exit codes for the shared campaign flags (2 malformed
+// invocation, 1 runtime failure — the spsim convention) and the -trace
+// conflict. Fleet execution itself is exercised through cmd/spsim and
+// internal/fleet; apart from the full report only the cheap reject-early
+// paths run a binary here.
 
 import (
 	"bytes"
@@ -63,6 +64,26 @@ func run(t *testing.T, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
+// TestAllOutputsPresent runs a short fresh campaign with -all and
+// requires every table and figure of the paper in the output.
+func TestAllOutputsPresent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report in -short mode")
+	}
+	stdout, stderr, code := run(t, "-days", "2", "-all")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	for _, want := range []string{
+		"Table 1", "Table 2", "Table 3", "Table 4",
+		"Figure 1", "Figure 2", "Figure 3", "Figure 4", "Figure 5",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-all output missing %s", want)
+		}
+	}
+}
+
 func TestFleetFlagValidationExits2(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,6 +96,13 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 		{"halt-negative", []string{"-halt-after", "-1", "-days", "1"}, "-halt-after must be >= 0"},
 		{"resume-without-checkpoint", []string{"-resume", "-days", "1"}, "-resume requires -checkpoint"},
 		{"halt-without-checkpoint", []string{"-halt-after", "1", "-days", "1"}, "-halt-after requires -checkpoint"},
+		// Campaign geometry: explicit -days/-nodes must be >= 1, and the
+		// cluster must hold the mix's largest job (128 nodes for the paper
+		// mix) — a field-path error, never a scheduler panic.
+		{"days-zero", []string{"-days", "0", "-table1"}, "-days: must be >= 1 (got 0)"},
+		{"days-negative", []string{"-days", "-1", "-table1"}, "-days: must be >= 1 (got -1)"},
+		{"nodes-zero", []string{"-nodes", "0", "-days", "1", "-table1"}, "-nodes: must be >= 1 (got 0)"},
+		{"nodes-below-largest-job", []string{"-nodes", "8", "-days", "1", "-table1"}, "clusters[0].nodes: must hold the largest job (job_size: 128 nodes), got 8"},
 		{"fleet-with-trace", []string{"-clusters", "2", "-trace", "db.json"}, "cannot be combined with -trace"},
 		{"shards-with-trace", []string{"-shards", "2", "-trace", "db.json"}, "cannot be combined with -trace"},
 	}
@@ -86,6 +114,9 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 			}
 			if !strings.Contains(stderr, tc.want) {
 				t.Errorf("stderr missing %q:\n%s", tc.want, stderr)
+			}
+			if strings.Contains(stderr, "goroutine") {
+				t.Errorf("malformed invocation panicked:\n%s", stderr)
 			}
 		})
 	}

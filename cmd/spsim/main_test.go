@@ -165,6 +165,13 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 		{"halt-negative", []string{"-halt-after", "-1", "-days", "1"}, "-halt-after must be >= 0"},
 		{"resume-without-checkpoint", []string{"-resume", "-days", "1"}, "-resume requires -checkpoint"},
 		{"halt-without-checkpoint", []string{"-halt-after", "2", "-days", "1"}, "-halt-after requires -checkpoint"},
+		// Campaign geometry: explicit -days/-nodes must be >= 1, and the
+		// cluster must hold the mix's largest job (128 nodes for the paper
+		// mix) — a field-path error, never a scheduler panic.
+		{"days-zero", []string{"-days", "0"}, "-days: must be >= 1 (got 0)"},
+		{"days-negative", []string{"-days", "-1"}, "-days: must be >= 1 (got -1)"},
+		{"nodes-zero", []string{"-nodes", "0", "-days", "1"}, "-nodes: must be >= 1 (got 0)"},
+		{"nodes-below-largest-job", []string{"-nodes", "8", "-days", "1"}, "clusters[0].nodes: must hold the largest job (job_size: 128 nodes), got 8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,6 +181,9 @@ func TestFleetFlagValidationExits2(t *testing.T) {
 			}
 			if !strings.Contains(stderr, tc.want) {
 				t.Errorf("stderr missing %q:\n%s", tc.want, stderr)
+			}
+			if strings.Contains(stderr, "goroutine") {
+				t.Errorf("malformed invocation panicked:\n%s", stderr)
 			}
 		})
 	}

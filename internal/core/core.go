@@ -6,8 +6,12 @@
 // Typical use:
 //
 //	sys := core.New(core.Config{Seed: 1})
-//	res := sys.RunCampaign()
-//	fmt.Print(sys.Report(res))
+//	res, err := sys.RunFleet(core.FleetConfig{}) // a fleet of one: the paper's campaign
+//	fmt.Print(analysis.ComputeTable2(res).Render())
+//
+// RunFleet is the one way a System runs a campaign: a single machine is
+// a fleet of one, bit-identical to the classic campaign, and the same
+// call adds clusters, shards, checkpoints and trace record/replay.
 //
 // Lower layers remain importable for finer control: power2 (the CPU),
 // hpm (the counter architecture), rs2hpm (the daemon/collector), mpi/hps
@@ -18,12 +22,8 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strings"
 
-	"repro/internal/analysis"
-	"repro/internal/hpm"
-	"repro/internal/kernels"
-	"repro/internal/power2"
+	"repro/internal/faults"
 	"repro/internal/profile"
 	"repro/internal/spec"
 	"repro/internal/units"
@@ -40,6 +40,10 @@ type Config struct {
 	// engine; zero picks GOMAXPROCS, 1 forces the serial engine. Results
 	// are bit-identical for every value.
 	Workers int
+	// Faults injects the default collection-fault mix (faults.Default)
+	// into every cluster whose campaign declares no faults block of its
+	// own; a spec's faults block takes precedence.
+	Faults bool
 }
 
 // System is a configured reproduction: measured kernel profiles plus the
@@ -115,46 +119,14 @@ func (s *System) CampaignConfig() workload.Config {
 	wc.Days = s.cfg.Days
 	wc.Nodes = s.cfg.Nodes
 	wc.Workers = s.cfg.Workers
+	s.injectFaults(&wc)
 	return wc
 }
 
-// RunCampaign executes the measurement window and returns its reduction.
-func (s *System) RunCampaign() workload.Result {
-	return workload.NewCampaign(s.CampaignConfig(), s.mix).Run()
-}
-
-// RunCampaignInto executes the measurement window, streaming the
-// reduction into red (see workload.Reducer).
-func (s *System) RunCampaignInto(red workload.Reducer) {
-	workload.NewCampaign(s.CampaignConfig(), s.mix).RunInto(red)
-}
-
-// MeasureKernel micro-simulates a registered kernel on a fresh SP2 node
-// CPU and returns its counter-derived rates.
-func (s *System) MeasureKernel(name string, instrs uint64) (hpm.Rates, error) {
-	k, ok := kernels.ByName(name)
-	if !ok {
-		return hpm.Rates{}, fmt.Errorf("core: unknown kernel %q", name)
+// injectFaults applies Config.Faults to a campaign that declares none.
+func (s *System) injectFaults(wc *workload.Config) {
+	if s.cfg.Faults && wc.Faults == nil {
+		f := faults.Default()
+		wc.Faults = &f
 	}
-	cpu := power2.New(power2.Config{Seed: s.cfg.Seed + 1})
-	cpu.RunLimited(k.New(s.cfg.Seed+1), instrs)
-	d := hpm.Sub(hpm.Snapshot{}, cpu.Monitor().Snapshot())
-	return hpm.UserRates(d, cpu.Elapsed()), nil
-}
-
-// Report renders every table and figure from a campaign result.
-func (s *System) Report(res workload.Result) string {
-	var b strings.Builder
-	b.WriteString(analysis.RenderTable1())
-	b.WriteString("\n")
-	b.WriteString(analysis.ComputeTable2(res).Render())
-	b.WriteString("\n")
-	b.WriteString(analysis.ComputeTable3(res).Render())
-	b.WriteString("\n")
-	seq := analysis.MeasureSequentialRow(s.cfg.Seed, 200_000)
-	bt := analysis.MeasureBT49Row(analysis.DefaultBT49())
-	b.WriteString(analysis.ComputeTable4(res, seq, bt).Render())
-	b.WriteString("\n")
-	b.WriteString(analysis.RenderAll(res))
-	return b.String()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -62,7 +61,10 @@ func TestNewWithSpec(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	res := s.RunCampaign()
+	res, err := s.RunFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Days) != 2 {
 		t.Fatalf("days = %d", len(res.Days))
 	}
@@ -75,39 +77,6 @@ func TestProfilesOrdered(t *testing.T) {
 	p := system(t).Profiles()
 	if !(p.CFD.Mflops < p.BT.Mflops && p.BT.Mflops < p.MatMul.Mflops) {
 		t.Fatalf("profile ordering: %v %v %v", p.CFD.Mflops, p.BT.Mflops, p.MatMul.Mflops)
-	}
-}
-
-func TestMeasureKernel(t *testing.T) {
-	r, err := system(t).MeasureKernel("matmul", 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.MflopsAll < 180 {
-		t.Fatalf("matmul = %.1f Mflops", r.MflopsAll)
-	}
-	if _, err := system(t).MeasureKernel("no-such-kernel", 10); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
-func TestEndToEndReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full report in -short mode")
-	}
-	s := system(t)
-	res := s.RunCampaign()
-	if len(res.Days) != 20 {
-		t.Fatalf("days = %d", len(res.Days))
-	}
-	rep := s.Report(res)
-	for _, want := range []string{
-		"Table 1", "Table 2", "Table 3", "Table 4",
-		"Figure 1", "Figure 2", "Figure 3", "Figure 4", "Figure 5",
-	} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %s", want)
-		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package core
 
-// The fleet-backed facade path: the same System that runs one campaign
-// can run a sharded multi-cluster fleet (internal/fleet), with the fleet
-// shape coming from the spec's fleet block, an explicit cluster count,
-// or both (the explicit count wins and replicates the base campaign).
+// The run path: every campaign a System runs goes through the fleet
+// engine (internal/fleet). One machine is a fleet of one, bit-identical
+// to the classic campaign; the fleet shape comes from the spec's fleet
+// block, an explicit cluster count, or both (the explicit count wins and
+// replicates the base campaign).
 
 import (
 	"fmt"
@@ -37,7 +38,9 @@ type FleetConfig struct {
 // per-cluster campaign configs with substream-derived seeds and the
 // shared mix. clusters > 0 forces that many homogeneous copies of the
 // base campaign; 0 defers to the spec's fleet block (a fleet of one
-// without a spec, or when the spec has no fleet block).
+// without a spec, or when the spec has no fleet block). A member the
+// campaign could not run — an empty window or cluster, or a job size
+// larger than the cluster — is a field-path error.
 func (s *System) FleetMembers(clusters int) ([]fleet.Member, error) {
 	var cfgs []workload.Config
 	switch {
@@ -66,14 +69,48 @@ func (s *System) FleetMembers(clusters int) ([]fleet.Member, error) {
 				cfgs[i].Nodes = s.cfg.Nodes
 			}
 			cfgs[i].Workers = s.cfg.Workers
+			s.injectFaults(&cfgs[i])
 		}
 	}
+	largest, where := largestJob(s.mix)
 	members := make([]fleet.Member, len(cfgs))
 	for i := range cfgs {
-		cfgs[i].Seed = workload.ClusterSeed(s.cfg.Seed, i)
-		members[i] = fleet.Member{Config: cfgs[i], Mix: s.mix}
+		c := &cfgs[i]
+		path := fmt.Sprintf("clusters[%d]", i)
+		switch {
+		case c.Days < 1:
+			return nil, fmt.Errorf("core: %w", spec.FieldError{Path: path + ".days", Msg: fmt.Sprintf("must be >= 1 (got %d)", c.Days)})
+		case c.Nodes < 1:
+			return nil, fmt.Errorf("core: %w", spec.FieldError{Path: path + ".nodes", Msg: fmt.Sprintf("must be >= 1 (got %d)", c.Nodes)})
+		case c.Nodes < largest:
+			return nil, fmt.Errorf("core: %w", spec.FieldError{Path: path + ".nodes",
+				Msg: fmt.Sprintf("must hold the largest job (%s: %d nodes), got %d", where, largest, c.Nodes)})
+		}
+		c.Seed = workload.ClusterSeed(s.cfg.Seed, i)
+		members[i] = fleet.Member{Config: *c, Mix: s.mix}
 	}
 	return members, nil
+}
+
+// largestJob returns the largest node count the mix can request — over
+// the campaign-wide size distribution and every client override, counting
+// only sizes with nonzero weight — and the field path it comes from.
+func largestJob(mix workload.Mix) (int, string) {
+	largest, where := 0, ""
+	consider := func(d workload.SizeDist, path string) {
+		for i, n := range d.Counts {
+			if i < len(d.Weights) && d.Weights[i] > 0 && n > largest {
+				largest, where = n, path
+			}
+		}
+	}
+	consider(mix.JobSize, "job_size")
+	for i, cl := range mix.Clients {
+		if cl.JobSize != nil {
+			consider(*cl.JobSize, fmt.Sprintf("clients[%d].job_size", i))
+		}
+	}
+	return largest, where
 }
 
 // RunFleet executes the fleet campaign, streaming the merged reduction
@@ -92,13 +129,4 @@ func (s *System) RunFleet(fc FleetConfig, sinks ...workload.Reducer) (workload.R
 		RecordTo:          fc.RecordTo,
 		ReplayFrom:        fc.ReplayFrom,
 	}, sinks...)
-}
-
-// FleetClusters reports the fleet size the system would run with no
-// explicit cluster-count override.
-func (s *System) FleetClusters() int {
-	if s.sp != nil && s.sp.Fleet != nil {
-		return s.sp.Fleet.Clusters
-	}
-	return 1
 }

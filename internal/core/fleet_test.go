@@ -4,6 +4,7 @@ package core
 // blocks, explicit-override precedence) and a short end-to-end RunFleet.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/spec"
@@ -57,9 +58,6 @@ func TestFleetMembersFromSpecFleetBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.FleetClusters() != 2 {
-		t.Fatalf("FleetClusters = %d, want 2", s.FleetClusters())
-	}
 	members, err := s.FleetMembers(0)
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +86,27 @@ func TestFleetMembersFromSpecFleetBlock(t *testing.T) {
 	}
 	if c := four[1].Config; c.Days != 90 || c.Nodes != 144 {
 		t.Fatalf("explicit cluster count must drop per-cluster overrides: %+v", c)
+	}
+
+	// Config.Faults reaches every member of a spec fleet that declares
+	// no faults block of its own.
+	paper, err := spec.Preset("paper-1996")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper.Fleet = &spec.FleetBlock{Clusters: 2}
+	faulted, err := NewWithSpec(Config{Seed: 4, Faults: true}, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members, err = faulted.FleetMembers(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range members {
+		if m.Config.Faults == nil {
+			t.Errorf("member %d: Config.Faults did not inject the default fault mix", i)
+		}
 	}
 }
 
@@ -123,5 +142,99 @@ func TestRunFleetWithSpecOverrides(t *testing.T) {
 	}
 	if res.Config.Scenario != "bursty" {
 		t.Fatalf("scenario = %q, want bursty", res.Config.Scenario)
+	}
+}
+
+// TestFleetOfOneIsTheCampaign pins what the single run path rests on:
+// with no fleet shape, RunFleet is a fleet of one and must land on the
+// same bits as running the system's campaign directly — for every
+// committed preset and for the default mix with injected faults.
+func TestFleetOfOneIsTheCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 2-day campaigns per case")
+	}
+	cases := map[string]func() (*System, error){
+		"default+faults": func() (*System, error) {
+			return New(Config{Days: 2, Seed: 5, Workers: 1, Faults: true}), nil
+		},
+	}
+	for _, name := range spec.PresetNames() {
+		cases[name] = func() (*System, error) {
+			sp, err := spec.Preset(name)
+			if err != nil {
+				return nil, err
+			}
+			return NewWithSpec(Config{Days: 2, Seed: 5, Workers: 1}, sp)
+		}
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "default+faults" && s.CampaignConfig().Faults == nil {
+				t.Fatal("Config.Faults did not reach the campaign config")
+			}
+			got, err := s.RunFleet(FleetConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := workload.NewCampaign(s.CampaignConfig(), s.mix).Run()
+			if g, w := campaignHash(t, got), campaignHash(t, want); g != w {
+				t.Fatalf("fleet of one hashes %#x, the campaign itself %#x", g, w)
+			}
+		})
+	}
+}
+
+// TestFleetMembersRejectsBadGeometry: a member the campaign could not
+// run is a field-path error from FleetMembers, never a panic mid-run.
+func TestFleetMembersRejectsBadGeometry(t *testing.T) {
+	base := system(t)
+	with := func(edit func(s *System)) *System {
+		s := *base
+		s.mix.Clients = append([]workload.Client(nil), base.mix.Clients...)
+		edit(&s)
+		return &s
+	}
+	override := func(weights ...float64) func(s *System) {
+		return func(s *System) {
+			s.mix.Clients[1].JobSize = &workload.SizeDist{Counts: []int{4, 200}, Weights: weights}
+		}
+	}
+	cases := []struct {
+		name string
+		sys  *System
+		want string // "" means the fleet is valid
+	}{
+		{"paper", base, ""},
+		{"days-negative", with(func(s *System) { s.cfg.Days = -1 }), "clusters[0].days: must be >= 1"},
+		{"nodes-zero", with(func(s *System) { s.cfg.Nodes = 0 }), "clusters[0].nodes: must be >= 1"},
+		{"nodes-below-largest-job", with(func(s *System) { s.cfg.Nodes = 8 }), "clusters[0].nodes: must hold the largest job (job_size: 128 nodes), got 8"},
+		{"client-override-too-large", with(override(1, 0.5)), "clients[1].job_size: 200 nodes"},
+		{"client-override-zero-weight", with(override(1, 0)), ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.sys.FleetMembers(0)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid fleet rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+
+	// Per-cluster spec overrides are checked member by member.
+	sp := burstyFleetSpec(t)
+	sp.Fleet.Overrides[0].Nodes = 64
+	s, err := NewWithSpec(Config{Seed: 4}, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FleetMembers(0); err == nil || !strings.Contains(err.Error(), "clusters[1].nodes") {
+		t.Fatalf("64-node cluster 1 accepted for a mix with 128-node jobs: %v", err)
 	}
 }

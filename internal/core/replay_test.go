@@ -1,9 +1,9 @@
 package core
 
-// The record/replay facade, end to end: the golden campaign hash must
-// come back through RunCampaignRecordTo → RunCampaignReplayFrom and
-// through the fleet path (RecordTo/ReplayFrom at shards {1, 4}), and a
-// replay against a different system must hard-fail with the replay
+// The record/replay run path, end to end: the golden campaign hash must
+// come back through RunFleet's RecordTo → ReplayFrom on the default
+// fleet of one (the single campaign) and when replayed at shards {1, 4},
+// and a replay against a different system must hard-fail with the replay
 // package's mismatch error.
 
 import (
@@ -44,20 +44,22 @@ func goldenSystem(t *testing.T) *System {
 	return goldenSys
 }
 
+// TestRunCampaignRecordReplayGolden records and replays the single
+// campaign: RunFleet with a zero FleetConfig is the one way a campaign runs.
 func TestRunCampaignRecordReplayGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaign is a full 2-day simulation per case")
 	}
 	s := goldenSystem(t)
 	path := filepath.Join(t.TempDir(), "core.trace.gz")
-	live, err := s.RunCampaignRecordTo(path)
+	live, err := s.RunFleet(FleetConfig{RecordTo: path})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	if h := campaignHash(t, live); h != goldenCampaignHash {
 		t.Fatalf("recorded run hash %#x, want golden %#x", h, goldenCampaignHash)
 	}
-	res, err := s.RunCampaignReplayFrom(path)
+	res, err := s.RunFleet(FleetConfig{ReplayFrom: path})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -65,10 +67,10 @@ func TestRunCampaignRecordReplayGolden(t *testing.T) {
 		t.Fatalf("replayed hash %#x, want golden %#x", h, goldenCampaignHash)
 	}
 
-	// A different seed is a different campaign: the facade must surface
+	// A different seed is a different campaign: the run path must surface
 	// the fingerprint mismatch, not a plausible wrong Result.
 	other := New(Config{Days: 2, Seed: 8, Workers: 1})
-	if _, err := other.RunCampaignReplayFrom(path); !errors.Is(err, replay.ErrMismatch) {
+	if _, err := other.RunFleet(FleetConfig{ReplayFrom: path}); !errors.Is(err, replay.ErrMismatch) {
 		t.Fatalf("replay against the wrong system: %v, want ErrMismatch", err)
 	}
 }

@@ -1,9 +1,9 @@
 package fleet
 
 // The fleet determinism contract, machine-checked: the merged Result is
-// bit-identical for every shard count, bit-identical to the
-// single-campaign path for a one-cluster fleet (the golden campaign
-// hash, through serialization and back), and bit-identical across
+// bit-identical for every shard count, bit-identical to running the
+// campaign directly for a one-cluster fleet (the golden campaign hash,
+// through serialization and back), and bit-identical across
 // kill/resume cycles at every day boundary. These tests run under -race
 // in CI's GOMAXPROCS matrix, so scheduler-order nondeterminism in the
 // shard fan-out is hunted, not assumed away.
@@ -117,8 +117,8 @@ func TestFleetShardCountInvariance(t *testing.T) {
 	}
 	want := resultHash(t, base)
 
-	// Cross-check the merge tree against clusters run directly through
-	// the single-campaign path and folded offline.
+	// Cross-check the merge tree against clusters run directly on the
+	// campaign engine and folded offline.
 	parts := make([]workload.Result, len(members))
 	for c := range members {
 		parts[c] = workload.NewCampaign(members[c].Config, members[c].Mix).Run()

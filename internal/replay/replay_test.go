@@ -1,8 +1,8 @@
 package replay_test
 
 // The differential proof layer: record a campaign, replay the trace,
-// and demand full-Result hash equality with the live run — through the
-// single-campaign path at workers {1, 8}, through the fleet path at
+// and demand full-Result hash equality with the live run — on a fleet of
+// one (the single-machine campaign) at workers {1, 8}, on the fleet at
 // shards {1, 4}, and for faulted campaigns whose resolved fault plans
 // must round-trip through the trace. The golden campaign hash pins the
 // replay path to the same constant every other execution knob is pinned
@@ -49,6 +49,11 @@ func goldenDef(workers int) (workload.Config, workload.Mix) {
 	return cfg, workload.DefaultMix(std)
 }
 
+// fleetOfOne is the single-machine campaign as the fleet engine runs it.
+func fleetOfOne(cfg workload.Config, mix workload.Mix) []fleet.Member {
+	return []fleet.Member{{Config: cfg, Mix: mix}}
+}
+
 func TestGoldenRecordReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaign is a full 2-day simulation per case")
@@ -56,7 +61,7 @@ func TestGoldenRecordReplay(t *testing.T) {
 	for _, recWorkers := range []int{1, 8} {
 		cfg, mix := goldenDef(recWorkers)
 		path := filepath.Join(t.TempDir(), "golden.trace.gz")
-		live, err := replay.RunRecorded(path, cfg, mix)
+		live, err := fleet.Run(fleetOfOne(cfg, mix), fleet.Options{RecordTo: path})
 		if err != nil {
 			t.Fatalf("workers=%d: record: %v", recWorkers, err)
 		}
@@ -67,7 +72,7 @@ func TestGoldenRecordReplay(t *testing.T) {
 		for _, repWorkers := range []int{1, 8} {
 			rcfg := cfg
 			rcfg.Workers = repWorkers
-			res, err := replay.RunReplayed(path, rcfg, mix)
+			res, err := fleet.Run(fleetOfOne(rcfg, mix), fleet.Options{ReplayFrom: path})
 			if err != nil {
 				t.Fatalf("workers=%d->%d: replay: %v", recWorkers, repWorkers, err)
 			}
@@ -83,8 +88,7 @@ func TestGoldenFleetRecordReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden fleet campaign is a full 2-day simulation per case")
 	}
-	cfg, mix := goldenDef(1)
-	members := []fleet.Member{{Config: cfg, Mix: mix}}
+	members := fleetOfOne(goldenDef(1))
 	path := filepath.Join(t.TempDir(), "golden-fleet.trace.gz")
 	live, err := fleet.Run(members, fleet.Options{RecordTo: path})
 	if err != nil {
@@ -132,7 +136,7 @@ func TestFaultedRecordReplay(t *testing.T) {
 	}
 	cfg, mix := faultedDef(t)
 	path := filepath.Join(t.TempDir(), "faulted.trace.gz")
-	live, err := replay.RunRecorded(path, cfg, mix)
+	live, err := fleet.Run(fleetOfOne(cfg, mix), fleet.Options{RecordTo: path})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -150,7 +154,7 @@ func TestFaultedRecordReplay(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		rcfg := cfg
 		rcfg.Workers = workers
-		res, err := replay.RunReplayed(path, rcfg, mix)
+		res, err := fleet.Run(fleetOfOne(rcfg, mix), fleet.Options{ReplayFrom: path})
 		if err != nil {
 			t.Fatalf("workers=%d: replay: %v", workers, err)
 		}

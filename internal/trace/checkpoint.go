@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/workload"
@@ -123,31 +122,7 @@ func ReadFleetCheckpoint(r io.Reader) (FleetCheckpoint, error) {
 // target, so a kill mid-write leaves the previous checkpoint intact — the
 // whole point of checkpointing. A ".gz" suffix enables gzip compression.
 func WriteFleetCheckpointFile(path string, cp FleetCheckpoint) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("trace: checkpoint: %w", err)
-	}
-	tmp := f.Name()
-	werr := func() error {
-		defer f.Close()
-		var w io.Writer = f
-		if strings.HasSuffix(path, ".gz") {
-			gz := gzip.NewWriter(f)
-			defer gz.Close()
-			w = gz
-		}
-		return WriteFleetCheckpoint(w, cp)
-	}()
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: checkpoint: %w", err)
-	}
-	return nil
+	return writeFileAtomic(path, "trace: checkpoint", func(w io.Writer) error { return WriteFleetCheckpoint(w, cp) })
 }
 
 // ReadFleetCheckpointFile loads a checkpoint from path, transparently

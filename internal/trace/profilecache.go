@@ -56,18 +56,7 @@ func ReadProfileCache(r io.Reader) ([]profile.Measurement, error) {
 // WriteProfileCacheFile persists a store's measurements to path; a ".gz"
 // suffix enables gzip compression.
 func WriteProfileCacheFile(path string, s *profile.Store) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	var w io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		defer gz.Close()
-		w = gz
-	}
-	return WriteProfileCache(w, s.Entries())
+	return writeFileAtomic(path, "trace", func(w io.Writer) error { return WriteProfileCache(w, s.Entries()) })
 }
 
 // LoadProfileCacheFile loads a persisted cache into the store. A missing

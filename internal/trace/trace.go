@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -52,20 +53,55 @@ func Read(r io.Reader) (workload.Result, error) {
 }
 
 // WriteFile writes the result to path; a ".gz" suffix enables gzip
-// compression (the counter arrays compress extremely well).
+// compression (the counter arrays compress extremely well). The write is
+// atomic: a failed write leaves any existing file untouched.
 func WriteFile(path string, res workload.Result) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, "trace", func(w io.Writer) error { return Write(w, res) })
+}
+
+// writeFileAtomic is how the database, profile-cache and checkpoint
+// writers put a file on disk: encode streams into a temp file beside path (gzipped when path ends in
+// ".gz"), every close is checked, and only a complete file is renamed
+// over path. On any failure the temp file is removed and path keeps its
+// previous contents, so a reader — or a run killed mid-write — never sees
+// a partial artifact. I/O errors are prefixed with prefix; encode's own
+// errors pass through unchanged.
+func writeFileAtomic(path, prefix string, encode func(io.Writer) error) error {
+	dir, base := filepath.Split(path)
+	f, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
-		return fmt.Errorf("trace: %w", err)
+		return fmt.Errorf("%s: %w", prefix, err)
 	}
-	defer f.Close()
-	var w io.Writer = f
-	if strings.HasSuffix(path, ".gz") {
+	err = func() error {
+		// CreateTemp makes the file owner-only; an artifact stays as
+		// readable as os.Create would make it under the usual umask.
+		if err := f.Chmod(0o644); err != nil {
+			return fmt.Errorf("%s: %w", prefix, err)
+		}
+		if !strings.HasSuffix(path, ".gz") {
+			return encode(f)
+		}
 		gz := gzip.NewWriter(f)
-		defer gz.Close()
-		w = gz
+		if err := encode(gz); err != nil {
+			return err
+		}
+		if err := gz.Close(); err != nil {
+			return fmt.Errorf("%s: %w", prefix, err)
+		}
+		return nil
+	}()
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("%s: %w", prefix, cerr)
 	}
-	return Write(w, res)
+	if err == nil {
+		if rerr := os.Rename(f.Name(), path); rerr != nil {
+			err = fmt.Errorf("%s: %w", prefix, rerr)
+		}
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // ReadFile loads a result from path, transparently handling ".gz".

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -168,5 +170,54 @@ func TestRecordsCSVFile(t *testing.T) {
 	}
 	if sz, err := statFile(path); err != nil || sz == 0 {
 		t.Fatalf("csv file size %d err %v", sz, err)
+	}
+}
+
+// TestFailedWriteKeepsPreviousFile drives the one atomic writer behind
+// every artifact: a write that fails mid-encode (JSON rejects a NaN)
+// reports the error, leaves the previous file byte-identical, and leaves
+// no temp file behind — for a plain and a gzipped database and for a
+// checkpoint alike.
+func TestFailedWriteKeepsPreviousFile(t *testing.T) {
+	bad := sampleResult()
+	bad.MaxGflops15min = math.NaN()
+	writers := map[string]func(path string, res workload.Result) error{
+		"db.json":    WriteFile,
+		"db.json.gz": WriteFile,
+		"fleet.json.gz": func(path string, res workload.Result) error {
+			cp := sampleCheckpoint()
+			cp.Done[0].Result = res
+			return WriteFleetCheckpointFile(path, cp)
+		},
+	}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, name)
+			if err := write(path, sampleResult()); err != nil {
+				t.Fatalf("first write: %v", err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := write(path, bad); err == nil {
+				t.Fatal("a NaN result was written without error")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("a failed write changed the existing file")
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != name {
+				t.Fatalf("temporary files left behind: %v", entries)
+			}
+		})
 	}
 }
