@@ -65,12 +65,21 @@ bench-gate:
 # Operational smoke of the fleet engine through the real CLI: run a
 # 2-cluster fleet sharded 2 ways, force a halt after the first cluster
 # completes (writing the checkpoint), then resume from it to completion.
-FLEET_SMOKE_CP := $(if $(TMPDIR),$(TMPDIR),/tmp)/hpm-fleet-smoke.json.gz
+# The determinism leg records a faulted 3-cluster fleet with a checkpoint
+# at 1 and at 2 shards: the compressed trace and checkpoint must be
+# byte-identical, whichever shard finished its cluster first.
+FLEET_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)
+FLEET_SMOKE_CP := $(FLEET_SMOKE_DIR)/hpm-fleet-smoke.json.gz
+FLEET_SMOKE_DET := $(foreach s,1 2,$(FLEET_SMOKE_DIR)/hpm-fleet-det$(s).trace.gz $(FLEET_SMOKE_DIR)/hpm-fleet-det$(s).json.gz)
 fleet-smoke:
-	rm -f $(FLEET_SMOKE_CP)
+	rm -f $(FLEET_SMOKE_CP) $(FLEET_SMOKE_DET)
 	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -checkpoint $(FLEET_SMOKE_CP) -halt-after 1
 	$(GO) run ./cmd/spsim -days 2 -clusters 2 -shards 2 -checkpoint $(FLEET_SMOKE_CP) -resume
-	rm -f $(FLEET_SMOKE_CP)
+	$(GO) run ./cmd/spsim -days 2 -clusters 3 -shards 1 -faults -record $(FLEET_SMOKE_DIR)/hpm-fleet-det1.trace.gz -checkpoint $(FLEET_SMOKE_DIR)/hpm-fleet-det1.json.gz
+	$(GO) run ./cmd/spsim -days 2 -clusters 3 -shards 2 -faults -record $(FLEET_SMOKE_DIR)/hpm-fleet-det2.trace.gz -checkpoint $(FLEET_SMOKE_DIR)/hpm-fleet-det2.json.gz
+	cmp $(FLEET_SMOKE_DIR)/hpm-fleet-det1.trace.gz $(FLEET_SMOKE_DIR)/hpm-fleet-det2.trace.gz
+	cmp $(FLEET_SMOKE_DIR)/hpm-fleet-det1.json.gz $(FLEET_SMOKE_DIR)/hpm-fleet-det2.json.gz
+	rm -f $(FLEET_SMOKE_CP) $(FLEET_SMOKE_DET)
 
 # Differential smoke of trace record/replay through the real CLI: record
 # a 2-day campaign while exporting its database, replay the trace at a

@@ -113,6 +113,10 @@ type run struct {
 	// done marks clusters whose Finish arrived (or was restored); guarded
 	// by mu.
 	done []bool
+	// encoded holds each done cluster's checkpoint entry, encoded once by
+	// the shard that finished it (or by restore) so checkpoint writes only
+	// concatenate bytes; guarded by mu.
+	encoded []trace.FleetPart
 	// next is the first fleet day not yet streamed to the sinks; guarded
 	// by mu.
 	next int
@@ -168,6 +172,7 @@ func Run(members []Member, opts Options, sinks ...workload.Reducer) (workload.Re
 		id:      ID(members),
 		parts:   make([]workload.Result, len(members)),
 		done:    make([]bool, len(members)),
+		encoded: make([]trace.FleetPart, len(members)),
 		sinks:   append(workload.TeeReducer(sinks), &rr),
 	}
 	for i := range members {
@@ -310,19 +315,36 @@ func (t *clusterTap) ReduceDay(d workload.Day) {
 
 // Finish records the cluster's end-of-campaign aggregates, checkpoints
 // the new completed frontier, and arms the halt if HaltAfter is reached.
+// The cluster's checkpoint entry is encoded here, outside mu: the owning
+// shard is the only writer of parts[c], and the other shards keep merging
+// days while it encodes.
 func (t *clusterTap) Finish(f workload.Final) {
-	r := t.r
+	r, c := t.r, t.cluster
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := &r.parts[t.cluster]
+	p := r.parts[c]
+	r.mu.Unlock()
 	p.Config = f.Config
 	p.Records = f.Records
 	p.MaxGflops15min = f.MaxGflops15min
 	p.DroppedRecords = f.DroppedRecords
 	p.Coverage = f.Coverage
-	r.done[t.cluster] = true
-	r.completions++
+	var part trace.FleetPart
+	var err error
 	if r.opts.Checkpoint != "" {
+		w := telemetry.StartWatch()
+		part, err = trace.EncodeFleetPart(r.opts.Checkpoint, trace.FleetClusterResult{Cluster: c, Result: p})
+		w.Record(telCheckpointNs)
+	}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.parts[c] = p
+	r.encoded[c] = part
+	r.done[c] = true
+	r.completions++
+	if err != nil {
+		r.failCheckpointLocked(err)
+	} else if r.opts.Checkpoint != "" {
 		r.writeCheckpointLocked()
 	}
 	if r.opts.HaltAfter > 0 && r.completions >= r.opts.HaltAfter {
@@ -355,38 +377,45 @@ func (r *run) advanceLocked() {
 }
 
 // writeCheckpointLocked persists the completed-cluster frontier plus the
-// per-cluster day cursors. Caller holds mu; the write is atomic
-// (tmp+rename), so a kill at any moment leaves a loadable checkpoint. On
-// the first write failure checkpointing stops and Run reports the error
-// — silently running on without durability would defeat the point.
+// per-cluster day cursors. Caller holds mu; the completed clusters are
+// already encoded, so the write is the cursors plus a concatenation. It
+// is atomic (tmp+rename), so a kill at any moment leaves a loadable
+// checkpoint.
 func (r *run) writeCheckpointLocked() {
 	if r.cpErr != nil {
 		return
 	}
-	cp := trace.FleetCheckpoint{
-		Version:  trace.FleetCheckpointVersion,
-		FleetID:  r.id,
-		Clusters: len(r.members),
-	}
+	var done []trace.FleetPart
+	var cursors []trace.FleetCursor
 	for c := range r.parts {
 		if r.done[c] {
-			cp.Done = append(cp.Done, trace.FleetClusterResult{Cluster: c, Result: r.parts[c]})
+			done = append(done, r.encoded[c])
 		}
 		if n := len(r.parts[c].Days); n > 0 || r.done[c] {
-			cp.Cursors = append(cp.Cursors, trace.FleetCursor{Cluster: c, NextDay: n})
+			cursors = append(cursors, trace.FleetCursor{Cluster: c, NextDay: n})
 		}
 	}
 	w := telemetry.StartWatch()
-	if err := trace.WriteFleetCheckpointFile(r.opts.Checkpoint, cp); err != nil {
-		r.cpErr = fmt.Errorf("fleet: checkpoint: %w", err)
-		r.halt = true // no point finishing clusters that can never persist
+	if err := trace.WriteFleetCheckpointParts(r.opts.Checkpoint, r.id, len(r.members), done, cursors); err != nil {
+		r.failCheckpointLocked(err)
 		return
 	}
 	w.Record(telCheckpointNs)
 	telCheckpoints.Inc()
 }
 
-// restore loads the checkpoint and marks its completed clusters done. It
+// failCheckpointLocked records the first checkpoint failure, encode or
+// write: checkpointing stops and Run reports the error — silently running
+// on without durability would defeat the point. Caller holds mu.
+func (r *run) failCheckpointLocked(err error) {
+	if r.cpErr == nil {
+		r.cpErr = fmt.Errorf("fleet: checkpoint: %w", err)
+	}
+	r.halt = true // no point finishing clusters that can never persist
+}
+
+// restore loads the checkpoint, marks its completed clusters done and
+// encodes their checkpoint entries once for the writes to come. It
 // runs before any shard goroutine exists, but takes the lock anyway so
 // the parts/done guard invariant holds everywhere they are written.
 func (r *run) restore() error {
@@ -406,7 +435,14 @@ func (r *run) restore() error {
 		if got, want := len(d.Result.Days), r.members[d.Cluster].Config.Days; got != want {
 			return fmt.Errorf("fleet: resume: cluster %d checkpointed with %d days, config says %d", d.Cluster, got, want)
 		}
+		w := telemetry.StartWatch()
+		part, err := trace.EncodeFleetPart(r.opts.Checkpoint, d)
+		w.Record(telCheckpointNs)
+		if err != nil {
+			return fmt.Errorf("fleet: resume: %w", err)
+		}
 		r.parts[d.Cluster] = d.Result
+		r.encoded[d.Cluster] = part
 		r.done[d.Cluster] = true
 		telClustersRestored.Inc()
 	}

@@ -9,6 +9,7 @@ package fleet
 // shard fan-out is hunted, not assumed away.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"hash/fnv"
@@ -17,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -279,5 +281,46 @@ func TestFleetIDIgnoresExecutionKnobs(t *testing.T) {
 	c := smallFleet(t, 2, 1, 10)
 	if ID(a) == ID(c) {
 		t.Fatal("different fleet definitions share an ID")
+	}
+}
+
+// The artifacts are as deterministic as the merged Result: each cluster's
+// checkpoint entry and trace member is encoded by the shard that ran it,
+// and both files are assembled in cluster order, so the compressed bytes
+// do not depend on the shard count or on which cluster finished first.
+func TestFleetArtifactsIdenticalAcrossShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-cluster fleet simulation")
+	}
+	members := smallFleet(t, 4, 2, 77)
+	for c := range members {
+		fc := faults.Default()
+		members[c].Config.Faults = &fc
+	}
+	var wantCP, wantTrace []byte
+	for _, shards := range []int{1, 2, 4} {
+		dir := t.TempDir()
+		cp, rec := filepath.Join(dir, "fleet.json.gz"), filepath.Join(dir, "fleet.trace.gz")
+		if _, err := Run(members, Options{Shards: shards, Checkpoint: cp, RecordTo: rec}); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		gotCP, err := os.ReadFile(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTrace, err := os.ReadFile(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantCP == nil {
+			wantCP, wantTrace = gotCP, gotTrace
+			continue
+		}
+		if !bytes.Equal(gotCP, wantCP) {
+			t.Errorf("shards=%d: checkpoint bytes differ from shards=1", shards)
+		}
+		if !bytes.Equal(gotTrace, wantTrace) {
+			t.Errorf("shards=%d: trace bytes differ from shards=1", shards)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
@@ -244,4 +245,106 @@ func TestOpenFileErrors(t *testing.T) {
 			t.Fatalf("aborted recorder left temp files: %v", left)
 		}
 	})
+}
+
+// fleetDefs builds a small multi-cluster definition, one seed per cluster.
+func fleetDefs(t *testing.T, clusters, days int) []replay.Def {
+	t.Helper()
+	defs := make([]replay.Def, clusters)
+	for c := range defs {
+		d, _, _ := testDef(t, days, workload.ClusterSeed(5, c), c%2 == 1)
+		defs[c] = d[0]
+	}
+	return defs
+}
+
+// A trace is written in cluster order whatever order — or concurrency —
+// its clusters are generated in: clusters finished in reverse, or all at
+// once, produce the bytes of a sequential recording.
+func TestRecorderWritesClusterOrder(t *testing.T) {
+	defs := fleetDefs(t, 3, 2)
+	want := traceBytes(t, defs)
+	record := func(order func(run func(c int))) []byte {
+		var buf bytes.Buffer
+		rec, err := replay.NewRecorder(&buf, replay.HeaderFor(defs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		order(func(c int) {
+			tap := rec.Tap(c, defs[c].Config, workload.NewGenerator(defs[c].Config, defs[c].Mix))
+			for d := 0; d < defs[c].Config.Days; d++ {
+				tap.GenerateDay(d)
+			}
+		})
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	reverse := record(func(run func(int)) {
+		for c := len(defs) - 1; c >= 0; c-- {
+			run(c)
+		}
+	})
+	if !bytes.Equal(reverse, want) {
+		t.Fatal("clusters generated in reverse order changed the trace bytes")
+	}
+	concurrent := record(func(run func(int)) {
+		var wg sync.WaitGroup
+		for c := range defs {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				run(c)
+			}(c)
+		}
+		wg.Wait()
+	})
+	if !bytes.Equal(concurrent, want) {
+		t.Fatal("clusters generated concurrently changed the trace bytes")
+	}
+}
+
+// Close refuses a trace in which some cluster's member is missing — never
+// tapped, or tapped but stopped before its last day — and a file trace
+// that fails to close leaves nothing at its path.
+func TestRecorderCloseRejectsIncompleteTrace(t *testing.T) {
+	defs := fleetDefs(t, 2, 2)
+	tap := func(rec *replay.Recorder, c, days int) {
+		g := rec.Tap(c, defs[c].Config, workload.NewGenerator(defs[c].Config, defs[c].Mix))
+		for d := 0; d < days; d++ {
+			g.GenerateDay(d)
+		}
+	}
+	for name, run := range map[string]func(rec *replay.Recorder){
+		"cluster never tapped": func(rec *replay.Recorder) { tap(rec, 1, 2) },
+		"cluster stopped early": func(rec *replay.Recorder) {
+			tap(rec, 0, 2)
+			tap(rec, 1, 1)
+		},
+		"cluster tapped twice": func(rec *replay.Recorder) {
+			tap(rec, 0, 2)
+			tap(rec, 1, 2)
+			tap(rec, 1, 2)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.trace.gz")
+			rec, err := replay.Create(path, replay.HeaderFor(defs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(rec)
+			if err := rec.Close(); err == nil {
+				t.Fatal("an incomplete trace closed cleanly")
+			}
+			left, err := filepath.Glob(path + "*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) != 0 {
+				t.Fatalf("failed trace left files behind: %v", left)
+			}
+		})
+	}
 }

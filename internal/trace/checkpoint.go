@@ -18,13 +18,12 @@ package trace
 // resume may use any shard or worker count.
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/workload"
 )
@@ -82,8 +81,8 @@ func ReadFleetCheckpoint(r io.Reader) (FleetCheckpoint, error) {
 	if err := dec.Decode(&cp); err != nil {
 		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint decode: %w", err)
 	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return FleetCheckpoint{}, errors.New("trace: checkpoint decode: trailing data after envelope")
+	if err := expectEOF(dec); err != nil {
+		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint decode: %w", err)
 	}
 	if cp.Version != FleetCheckpointVersion {
 		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint version %d, want %d", cp.Version, FleetCheckpointVersion)
@@ -117,12 +116,98 @@ func ReadFleetCheckpoint(r io.Reader) (FleetCheckpoint, error) {
 	return cp, nil
 }
 
+// FleetPart is one completed cluster's checkpoint entry, encoded once by
+// EncodeFleetPart and then reused by every checkpoint write that lists the
+// cluster as done. For a ".gz" path it is a complete gzip member.
+type FleetPart struct {
+	b  []byte
+	gz bool
+}
+
+// EncodeFleetPart encodes one completed cluster for the checkpoint at
+// path: the JSON WriteFleetCheckpoint writes for that "done" element, as
+// a gzip member when path ends in ".gz".
+func EncodeFleetPart(path string, d FleetClusterResult) (FleetPart, error) {
+	b, err := json.Marshal(d)
+	if err != nil {
+		return FleetPart{}, fmt.Errorf("trace: checkpoint encode: %w", err)
+	}
+	p := FleetPart{b: b, gz: isGzip(path)}
+	if p.gz {
+		var buf bytes.Buffer
+		if err := writeGzipMember(&buf, b); err != nil {
+			return FleetPart{}, fmt.Errorf("trace: checkpoint encode: %w", err)
+		}
+		p.b = buf.Bytes()
+	}
+	return p, nil
+}
+
+// WriteFleetCheckpointParts atomically writes a checkpoint whose completed
+// clusters are already encoded: only the envelope around them and the
+// cursors are encoded here. The file decompresses to exactly what
+// WriteFleetCheckpoint writes for the same checkpoint — done == nil
+// writes "done":null, as a nil Done does — and a ".gz" file is a
+// sequence of gzip members, one per part plus the JSON between them.
+func WriteFleetCheckpointParts(path string, fleetID uint64, clusters int, done []FleetPart, cursors []FleetCursor) error {
+	gz := isGzip(path)
+	for _, p := range done {
+		if p.gz != gz {
+			return fmt.Errorf("trace: checkpoint: part encoded for a different compression than %s", path)
+		}
+	}
+	tail, err := json.Marshal(cursors)
+	if err != nil {
+		return fmt.Errorf("trace: checkpoint encode: %w", err)
+	}
+	tail = append(append([]byte(`],"cursors":`), tail...), "}\n"...)
+	head := fmt.Appendf(nil, `{"version":%d,"fleet_id":%d,"clusters":%d,"done":[`, FleetCheckpointVersion, fleetID, clusters)
+	if done == nil {
+		head = append(head[:len(head)-1], "null"...)
+		tail = tail[1:]
+	}
+	return writeRawAtomic(path, "trace: checkpoint", func(w io.Writer) error {
+		glue := func(b []byte) error {
+			if gz {
+				return writeGzipMember(w, b)
+			}
+			_, err := w.Write(b)
+			return err
+		}
+		if err := glue(head); err != nil {
+			return err
+		}
+		for i, p := range done {
+			if i > 0 {
+				if err := glue([]byte(",")); err != nil {
+					return err
+				}
+			}
+			if _, err := w.Write(p.b); err != nil {
+				return err
+			}
+		}
+		return glue(tail)
+	})
+}
+
 // WriteFleetCheckpointFile atomically persists the checkpoint to path: it
 // writes a temporary file in the same directory and renames it over the
 // target, so a kill mid-write leaves the previous checkpoint intact — the
 // whole point of checkpointing. A ".gz" suffix enables gzip compression.
 func WriteFleetCheckpointFile(path string, cp FleetCheckpoint) error {
-	return writeFileAtomic(path, "trace: checkpoint", func(w io.Writer) error { return WriteFleetCheckpoint(w, cp) })
+	var parts []FleetPart
+	if cp.Done != nil {
+		parts = make([]FleetPart, len(cp.Done))
+	}
+	for i, d := range cp.Done {
+		p, err := EncodeFleetPart(path, d)
+		if err != nil {
+			return err
+		}
+		parts[i] = p
+	}
+	return WriteFleetCheckpointParts(path, cp.FleetID, cp.Clusters, parts, cp.Cursors)
 }
 
 // ReadFleetCheckpointFile loads a checkpoint from path, transparently
@@ -134,7 +219,7 @@ func ReadFleetCheckpointFile(path string) (FleetCheckpoint, error) {
 	}
 	defer f.Close()
 	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
+	if isGzip(path) {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
 			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint gzip: %w", err)

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -179,4 +182,146 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("round trip changed the checkpoint:\n first: %+v\nsecond: %+v", cp, again)
 		}
 	})
+}
+
+// partsCheckpoint is a 3-cluster checkpoint with the given clusters done,
+// each carrying a distinct Result.
+func partsCheckpoint(done ...int) FleetCheckpoint {
+	cp := FleetCheckpoint{Version: FleetCheckpointVersion, FleetID: 0xfeedface, Clusters: 3}
+	for _, c := range done {
+		res := sampleResult()
+		res.DroppedRecords = c + 10
+		res.Days[0].BusyNodeSeconds += float64(c)
+		cp.Done = append(cp.Done, FleetClusterResult{Cluster: c, Result: res})
+		cp.Cursors = append(cp.Cursors, FleetCursor{Cluster: c, NextDay: len(res.Days)})
+	}
+	return cp
+}
+
+// writeParts encodes cp's done clusters one by one and writes them through
+// the parts writer, as the fleet does; it returns the encoded parts.
+func writeParts(t *testing.T, path string, cp FleetCheckpoint) []FleetPart {
+	t.Helper()
+	var parts []FleetPart
+	for _, d := range cp.Done {
+		p, err := EncodeFleetPart(path, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	if err := WriteFleetCheckpointParts(path, cp.FleetID, cp.Clusters, parts, cp.Cursors); err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
+// The parts writer must reproduce WriteFleetCheckpoint's bytes exactly
+// once decompressed — "done":null included — so that every existing
+// checkpoint reader, and zcat, sees the same document.
+func TestFleetCheckpointPartsMatchEnvelope(t *testing.T) {
+	for _, done := range [][]int{nil, {1}, {0, 1, 2}} {
+		cp := partsCheckpoint(done...)
+		var want bytes.Buffer
+		if err := WriteFleetCheckpoint(&want, cp); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"fleet.ckpt", "fleet.ckpt.gz"} {
+			path := filepath.Join(t.TempDir(), name)
+			writeParts(t, path, cp)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasSuffix(name, ".gz") {
+				zr, err := gzip.NewReader(bytes.NewReader(got))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err = io.ReadAll(zr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%d done, %s: parts writer wrote\n%s\nenvelope writer wrote\n%s", len(done), name, got, want.Bytes())
+			}
+			back, err := ReadFleetCheckpointFile(path)
+			if err != nil {
+				t.Fatalf("%d done, %s: %v", len(done), name, err)
+			}
+			if !reflect.DeepEqual(back, cp) {
+				t.Fatalf("%d done, %s: round trip changed the checkpoint", len(done), name)
+			}
+		}
+	}
+}
+
+// Each part is its own gzip member with its own CRC, and the reader reads
+// to the end of the stream, so damage inside any member — not only the
+// last — fails the load.
+func TestFleetCheckpointCorruptMiddleMember(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.ckpt.gz")
+	parts := writeParts(t, path, partsCheckpoint(0, 1, 2))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := parts[1].b
+	start := bytes.Index(good, mid)
+	if start < 0 || bytes.Index(good[start+1:], mid) >= 0 {
+		t.Fatal("middle part not found exactly once in the file")
+	}
+	for name, off := range map[string]int{
+		"deflate data": len(mid) / 2,
+		"crc":          len(mid) - 8,
+	} {
+		bad := bytes.Clone(good)
+		bad[start+off] ^= 0xff
+		if err := writeRaw(path, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFleetCheckpointFile(path); err == nil {
+			t.Errorf("flipped byte in the middle member's %s: checkpoint accepted", name)
+		}
+	}
+}
+
+// A cluster whose Result cannot be encoded fails at EncodeFleetPart, before
+// any file is touched: the previous checkpoint stays byte-identical and no
+// temporary file is left.
+func TestFleetCheckpointPartEncodeFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.ckpt.gz")
+	cp := partsCheckpoint(0, 2)
+	writeParts(t, path, cp)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cp.Done[0]
+	bad.Result.MaxGflops15min = math.NaN()
+	if _, err := EncodeFleetPart(path, bad); err == nil {
+		t.Fatal("a NaN result encoded without error")
+	}
+	plain, err := EncodeFleetPart(filepath.Join(dir, "fleet.ckpt"), cp.Done[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFleetCheckpointParts(path, cp.FleetID, cp.Clusters, []FleetPart{plain}, cp.Cursors); err == nil {
+		t.Fatal("an uncompressed part was written into a .gz checkpoint")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a failed part changed the existing checkpoint")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("temporary files left behind: %v", entries)
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/profile"
 )
@@ -44,7 +43,11 @@ func WriteProfileCache(w io.Writer, ms []profile.Measurement) error {
 // ReadProfileCache deserialises measurements from r.
 func ReadProfileCache(r io.Reader) ([]profile.Measurement, error) {
 	var env profileCacheEnvelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&env); err != nil {
+		return nil, fmt.Errorf("trace: profile cache decode: %w", err)
+	}
+	if err := expectEOF(dec); err != nil {
 		return nil, fmt.Errorf("trace: profile cache decode: %w", err)
 	}
 	if env.Version != ProfileCacheVersion {
@@ -71,7 +74,7 @@ func LoadProfileCacheFile(path string, s *profile.Store) error {
 	}
 	defer f.Close()
 	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
+	if isGzip(path) {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
 			return fmt.Errorf("trace: gzip: %w", err)

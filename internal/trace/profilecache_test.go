@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -71,5 +72,28 @@ func TestProfileCacheVersionCheck(t *testing.T) {
 	_, err := ReadProfileCache(strings.NewReader(`{"version": 999, "measurements": []}`))
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
+	}
+}
+
+// The cache decoder reads to the end of its input: trailing data and a
+// gzip stream whose CRC no longer matches are both refused.
+func TestProfileCacheRejectsTrailingDataAndBadCRC(t *testing.T) {
+	if _, err := ReadProfileCache(strings.NewReader(`{"version":1,"measurements":[]}{}`)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("trailing data: got %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "cache.json.gz")
+	if err := WriteProfileCacheFile(path, profile.NewStore()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-8] ^= 0xff // first byte of the CRC-32 trailer
+	if err := writeRaw(path, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadProfileCacheFile(path, profile.NewStore()); err == nil {
+		t.Fatal("cache with a corrupt CRC accepted")
 	}
 }

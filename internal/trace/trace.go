@@ -10,12 +10,14 @@ import (
 	"compress/gzip"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/pbs"
 	"repro/internal/workload"
@@ -46,6 +48,9 @@ func Read(r io.Reader) (workload.Result, error) {
 	if err := dec.Decode(&env); err != nil {
 		return workload.Result{}, fmt.Errorf("trace: decode: %w", err)
 	}
+	if err := expectEOF(dec); err != nil {
+		return workload.Result{}, fmt.Errorf("trace: decode: %w", err)
+	}
 	if env.Version != FormatVersion {
 		return workload.Result{}, fmt.Errorf("trace: version %d, want %d", env.Version, FormatVersion)
 	}
@@ -60,25 +65,15 @@ func WriteFile(path string, res workload.Result) error {
 }
 
 // writeFileAtomic is how the database, profile-cache and checkpoint
-// writers put a file on disk: encode streams into a temp file beside path (gzipped when path ends in
-// ".gz"), every close is checked, and only a complete file is renamed
-// over path. On any failure the temp file is removed and path keeps its
-// previous contents, so a reader — or a run killed mid-write — never sees
-// a partial artifact. I/O errors are prefixed with prefix; encode's own
-// errors pass through unchanged.
+// writers put a file on disk: encode streams into a temp file beside path
+// (gzipped when path ends in ".gz"), every close is checked, and only a
+// complete file is renamed over path. On any failure the temp file is
+// removed and path keeps its previous contents, so a reader — or a run
+// killed mid-write — never sees a partial artifact. I/O errors are
+// prefixed with prefix; encode's own errors pass through unchanged.
 func writeFileAtomic(path, prefix string, encode func(io.Writer) error) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("%s: %w", prefix, err)
-	}
-	err = func() error {
-		// CreateTemp makes the file owner-only; an artifact stays as
-		// readable as os.Create would make it under the usual umask.
-		if err := f.Chmod(0o644); err != nil {
-			return fmt.Errorf("%s: %w", prefix, err)
-		}
-		if !strings.HasSuffix(path, ".gz") {
+	return writeRawAtomic(path, prefix, func(f io.Writer) error {
+		if !isGzip(path) {
 			return encode(f)
 		}
 		gz := gzip.NewWriter(f)
@@ -89,7 +84,25 @@ func writeFileAtomic(path, prefix string, encode func(io.Writer) error) error {
 			return fmt.Errorf("%s: %w", prefix, err)
 		}
 		return nil
-	}()
+	})
+}
+
+// writeRawAtomic is writeFileAtomic without the compression layer: write
+// gets the temp file itself, for callers that hand it finished gzip
+// members.
+func writeRawAtomic(path, prefix string, write func(io.Writer) error) error {
+	dir, base := filepath.Split(path)
+	f, err := os.CreateTemp(dir, base+".tmp*")
+	if err != nil {
+		return fmt.Errorf("%s: %w", prefix, err)
+	}
+	// CreateTemp makes the file owner-only; an artifact stays as readable
+	// as os.Create would make it under the usual umask.
+	if err = f.Chmod(0o644); err != nil {
+		err = fmt.Errorf("%s: %w", prefix, err)
+	} else {
+		err = write(f)
+	}
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("%s: %w", prefix, cerr)
 	}
@@ -104,6 +117,43 @@ func writeFileAtomic(path, prefix string, encode func(io.Writer) error) error {
 	return err
 }
 
+// isGzip reports whether an artifact path selects gzip compression.
+func isGzip(path string) bool { return strings.HasSuffix(path, ".gz") }
+
+// gzipWriters recycles compressors across gzip members: a member is often
+// a few bytes of JSON glue, and a fresh compressor costs far more than it.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
+// writeGzipMember writes b to w as one complete gzip member. Concatenated
+// members are one gzip stream to every reader (gzip.NewReader is
+// multistream by default, as is zcat), so a file can be assembled from
+// members compressed at different times.
+func writeGzipMember(w io.Writer, b []byte) error {
+	gz := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(gz)
+	gz.Reset(w)
+	if _, err := gz.Write(b); err != nil {
+		return err
+	}
+	return gz.Close()
+}
+
+// expectEOF requires dec to be at the end of its input. Reading to the end
+// is also what makes a gzip reader check its CRC, so a decoder that stops
+// after the envelope would accept a corrupt stream.
+func expectEOF(dec *json.Decoder) error {
+	err := dec.Decode(new(json.RawMessage))
+	switch {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err == nil:
+		return errors.New("trailing data after envelope")
+	case errors.As(err, new(*json.SyntaxError)):
+		return fmt.Errorf("trailing data after envelope: %w", err)
+	}
+	return err
+}
+
 // ReadFile loads a result from path, transparently handling ".gz".
 func ReadFile(path string) (workload.Result, error) {
 	f, err := os.Open(path)
@@ -112,7 +162,7 @@ func ReadFile(path string) (workload.Result, error) {
 	}
 	defer f.Close()
 	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
+	if isGzip(path) {
 		gz, err := gzip.NewReader(f)
 		if err != nil {
 			return workload.Result{}, fmt.Errorf("trace: gzip: %w", err)

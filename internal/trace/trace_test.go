@@ -221,3 +221,41 @@ func TestFailedWriteKeepsPreviousFile(t *testing.T) {
 		})
 	}
 }
+
+// A database's gzip CRC covers every byte, but only a reader that reads
+// to the end of the stream checks it: a flipped byte anywhere in the file
+// must fail the load, not decode to a silently different Result.
+func TestReadFileRejectsFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.json.gz")
+	if err := WriteFile(path, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last 8 bytes are the CRC-32 and length trailer.
+	for name, off := range map[string]int{"deflate data": len(good) / 2, "crc": len(good) - 8} {
+		bad := bytes.Clone(good)
+		bad[off] ^= 0xff
+		if err := writeRaw(path, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Errorf("flipped byte in the %s: database accepted", name)
+		}
+	}
+}
+
+// Read, like the checkpoint reader, rejects anything after the envelope.
+func TestReadRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{}`)
+	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Fatalf("trailing data: got %v", err)
+	}
+}

@@ -93,10 +93,11 @@ func MergeFinal(parts []Result) Final {
 }
 
 // mergeCoverage merges the fault layer's sample-accounting reports
-// day-major, in canonical cluster order. A fleet has a coverage report
-// only when every cluster ran under fault injection; mixing faulted and
-// fault-free clusters yields no report, because a partial ledger could
-// not cross-foot against the fleet's expected samples.
+// day-major, in canonical cluster order, and totals the merged rows. A
+// fleet has a coverage report only when every cluster ran under fault
+// injection; mixing faulted and fault-free clusters yields no report,
+// because a partial ledger could not cross-foot against the fleet's
+// expected samples.
 //
 //hpmlint:pure ledger folding is pure accounting over the cluster reports
 func mergeCoverage(parts []Result) *faults.Report {
@@ -119,13 +120,18 @@ func mergeCoverage(parts []Result) *faults.Report {
 		}
 	}
 	for i := range parts {
-		cov := parts[i].Coverage
-		merged.Total.Add(cov.Total)
-		for _, dc := range cov.Days {
+		for _, dc := range parts[i].Coverage.Days {
 			row := &merged.Days[dc.Day]
 			row.Coverage.Add(dc.Coverage)
 			row.CoveredNodeSeconds += dc.CoveredNodeSeconds
 		}
+	}
+	// The total folds the merged rows in day order — the sum Report.Check
+	// verifies. Summing the clusters' totals instead rounds
+	// LostNodeSeconds differently in the last place. For one cluster the
+	// rows are its own, so this is its own (checked) total.
+	for _, row := range merged.Days {
+		merged.Total.Add(row.Coverage)
 	}
 	return merged
 }

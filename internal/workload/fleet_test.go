@@ -107,3 +107,29 @@ func TestMergeFinalPanicsOnEmptyFleet(t *testing.T) {
 	}()
 	MergeFinal(nil)
 }
+
+// A merged faulted ledger must pass the same cross-foot as a single
+// campaign's: Check requires the total to equal the day-by-day sum of the
+// rows exactly, LostNodeSeconds included, so the merged total has to be
+// that sum, not the sum of the clusters' own totals. Seed 3 over 5 days
+// is a fleet whose two sums differ in the last place.
+func TestMergeResultsFaultedFleetLedgerChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-cluster faulted campaigns")
+	}
+	parts := make([]Result, 4)
+	for c := range parts {
+		cfg := DefaultConfig(ClusterSeed(3, c))
+		cfg.Days = 5
+		fc := faults.Default()
+		cfg.Faults = &fc
+		parts[c] = NewCampaign(cfg, DefaultMix(std(t))).Run()
+	}
+	merged := MergeResults(parts)
+	if merged.Coverage == nil {
+		t.Fatal("faulted fleet produced no coverage report")
+	}
+	if err := merged.Coverage.Check(); err != nil {
+		t.Fatalf("merged fleet ledger does not cross-foot: %v", err)
+	}
+}
