@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBaselineDecode$$' -fuzztime $(FUZZTIME) ./internal/lint/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) ./internal/spec/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDatabaseDecode$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/rs2hpm/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayDecode$$' -fuzztime $(FUZZTIME) ./internal/replay/
 

@@ -312,6 +312,15 @@ func TestRecordReplayRoundTripCLI(t *testing.T) {
 	if !strings.Contains(stdout, "campaign trace recorded to") {
 		t.Errorf("record run should announce the trace:\n%s", stdout)
 	}
+	for _, path := range []string{trace, live} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := fi.Mode().Perm(); perm != 0o644 {
+			t.Errorf("%s has mode %v, want -rw-r--r--", filepath.Base(path), perm)
+		}
+	}
 	// Replay at a different worker count: execution knobs must not
 	// affect the replayed result.
 	stdout, stderr, code = run(t, "-days", "1", "-seed", "7", "-workers", "3", "-replay", trace, "-o", replayed)

@@ -69,7 +69,15 @@ func Create(path string, h Header) (*Recorder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: create trace: %w", err)
 	}
-	r, err := newRecorder(countingWriter{f, telBytesWritten}, true, h)
+	// CreateTemp makes the file owner-only; a trace stays as readable as
+	// the database and checkpoint written beside it.
+	if err = f.Chmod(0o644); err != nil {
+		err = fmt.Errorf("replay: create trace: %w", err)
+	}
+	var r *Recorder
+	if err == nil {
+		r, err = newRecorder(countingWriter{f, telBytesWritten}, true, h)
+	}
 	if err != nil {
 		f.Close()
 		os.Remove(f.Name())

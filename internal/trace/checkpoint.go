@@ -19,11 +19,9 @@ package trace
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/workload"
 )
@@ -32,7 +30,10 @@ import (
 // files. It must change whenever the simulator's behaviour changes in a
 // way that alters any campaign result — resuming from a stale checkpoint
 // would otherwise silently mix old and new bits in one merged Result.
-const FleetCheckpointVersion = 1
+// Version 2 stores each done cluster's Result as the database does (see
+// block.go); version 1, plain JSON, is still read so that a campaign
+// halted under it can resume.
+const FleetCheckpointVersion = 2
 
 // FleetClusterResult is one completed cluster's campaign reduction.
 type FleetClusterResult struct {
@@ -61,59 +62,118 @@ type FleetCheckpoint struct {
 	Cursors  []FleetCursor        `json:"cursors"`
 }
 
+// wireCheckpoint and wireCluster are the on-disk form of version 2.
+type wireCheckpoint struct {
+	Version  int           `json:"version"`
+	FleetID  uint64        `json:"fleet_id"`
+	Clusters int           `json:"clusters"`
+	Done     []wireCluster `json:"done"`
+	Cursors  []FleetCursor `json:"cursors"`
+}
+
+type wireCluster struct {
+	Cluster int        `json:"cluster"`
+	Result  wireResult `json:"result"`
+}
+
 // WriteFleetCheckpoint serialises the checkpoint to w as JSON.
 func WriteFleetCheckpoint(w io.Writer, cp FleetCheckpoint) error {
-	cp.Version = FleetCheckpointVersion
-	if err := json.NewEncoder(w).Encode(cp); err != nil {
+	wc := wireCheckpoint{Version: FleetCheckpointVersion, FleetID: cp.FleetID, Clusters: cp.Clusters, Cursors: cp.Cursors}
+	if cp.Done != nil {
+		wc.Done = make([]wireCluster, len(cp.Done))
+		for i, d := range cp.Done {
+			wc.Done[i] = wireCluster{Cluster: d.Cluster, Result: toWire(d.Result)}
+		}
+	}
+	if err := json.NewEncoder(w).Encode(wc); err != nil {
 		return fmt.Errorf("trace: checkpoint encode: %w", err)
 	}
 	return nil
 }
 
-// ReadFleetCheckpoint deserialises and validates a checkpoint from r. It
-// rejects version skew, trailing garbage after the envelope, and any
-// internally inconsistent progress record (out-of-range or duplicate
-// cluster indexes) — a corrupt checkpoint must fail the resume, never
-// seed a silently wrong merge.
+// ReadFleetCheckpoint deserialises and validates a checkpoint from r, in
+// version 2 or version 1. It rejects version skew (ErrVersion), and
+// trailing garbage after the envelope, a bad counter block and any
+// internally inconsistent progress record — out-of-range or duplicate
+// cluster indexes — as ErrCorrupt: a corrupt checkpoint must fail the
+// resume, never seed a silently wrong merge.
 func ReadFleetCheckpoint(r io.Reader) (FleetCheckpoint, error) {
+	cp, err := readFleetCheckpoint(r)
+	if err != nil {
+		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint decode: %w", err)
+	}
+	if err := cp.check(); err != nil {
+		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint: %w", corrupt(err))
+	}
+	return cp, nil
+}
+
+// readFleetCheckpoint decodes either version into the in-memory form,
+// whose Version is then always FleetCheckpointVersion: a checkpoint read
+// from version 1 is written back as version 2.
+func readFleetCheckpoint(r io.Reader) (FleetCheckpoint, error) {
+	dec, v, err := openVersioned(r)
+	if err != nil {
+		return FleetCheckpoint{}, err
+	}
 	var cp FleetCheckpoint
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&cp); err != nil {
-		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint decode: %w", err)
+	switch v {
+	case FleetCheckpointVersion:
+		var wc wireCheckpoint
+		if err := decodeDocument(dec, &wc); err != nil {
+			return FleetCheckpoint{}, err
+		}
+		cp = FleetCheckpoint{FleetID: wc.FleetID, Clusters: wc.Clusters, Cursors: wc.Cursors}
+		if wc.Done != nil {
+			cp.Done = make([]FleetClusterResult, len(wc.Done))
+		}
+		for i, d := range wc.Done {
+			res, err := fromWire(d.Result)
+			if err != nil {
+				return FleetCheckpoint{}, fmt.Errorf("cluster %d: %w", d.Cluster, err)
+			}
+			cp.Done[i] = FleetClusterResult{Cluster: d.Cluster, Result: res}
+		}
+	case readOnlyVersion:
+		if err := decodeDocument(dec, &cp); err != nil {
+			return FleetCheckpoint{}, err
+		}
+	default:
+		return FleetCheckpoint{}, fmt.Errorf("%w %d, want %d", ErrVersion, v, FleetCheckpointVersion)
 	}
-	if err := expectEOF(dec); err != nil {
-		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint decode: %w", err)
-	}
-	if cp.Version != FleetCheckpointVersion {
-		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint version %d, want %d", cp.Version, FleetCheckpointVersion)
-	}
+	cp.Version = FleetCheckpointVersion
+	return cp, nil
+}
+
+// check validates the checkpoint's progress record.
+func (cp FleetCheckpoint) check() error {
 	if cp.Clusters < 1 {
-		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint fleet size %d, want >= 1", cp.Clusters)
+		return fmt.Errorf("fleet size %d, want >= 1", cp.Clusters)
 	}
 	seen := make(map[int]bool, len(cp.Done))
 	for _, d := range cp.Done {
 		if d.Cluster < 0 || d.Cluster >= cp.Clusters {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint cluster %d out of range [0,%d)", d.Cluster, cp.Clusters)
+			return fmt.Errorf("cluster %d out of range [0,%d)", d.Cluster, cp.Clusters)
 		}
 		if seen[d.Cluster] {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint cluster %d recorded twice", d.Cluster)
+			return fmt.Errorf("cluster %d recorded twice", d.Cluster)
 		}
 		seen[d.Cluster] = true
 	}
 	cseen := make(map[int]bool, len(cp.Cursors))
 	for _, c := range cp.Cursors {
 		if c.Cluster < 0 || c.Cluster >= cp.Clusters {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint cursor for cluster %d out of range [0,%d)", c.Cluster, cp.Clusters)
+			return fmt.Errorf("cursor for cluster %d out of range [0,%d)", c.Cluster, cp.Clusters)
 		}
 		if cseen[c.Cluster] {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint cursor for cluster %d recorded twice", c.Cluster)
+			return fmt.Errorf("cursor for cluster %d recorded twice", c.Cluster)
 		}
 		cseen[c.Cluster] = true
 		if c.NextDay < 0 {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint cursor for cluster %d has negative day %d", c.Cluster, c.NextDay)
+			return fmt.Errorf("cursor for cluster %d has negative day %d", c.Cluster, c.NextDay)
 		}
 	}
-	return cp, nil
+	return nil
 }
 
 // FleetPart is one completed cluster's checkpoint entry, encoded once by
@@ -128,7 +188,7 @@ type FleetPart struct {
 // path: the JSON WriteFleetCheckpoint writes for that "done" element, as
 // a gzip member when path ends in ".gz".
 func EncodeFleetPart(path string, d FleetClusterResult) (FleetPart, error) {
-	b, err := json.Marshal(d)
+	b, err := json.Marshal(wireCluster{Cluster: d.Cluster, Result: toWire(d.Result)})
 	if err != nil {
 		return FleetPart{}, fmt.Errorf("trace: checkpoint encode: %w", err)
 	}
@@ -210,22 +270,7 @@ func WriteFleetCheckpointFile(path string, cp FleetCheckpoint) error {
 	return WriteFleetCheckpointParts(path, cp.FleetID, cp.Clusters, parts, cp.Cursors)
 }
 
-// ReadFleetCheckpointFile loads a checkpoint from path, transparently
-// handling ".gz".
+// ReadFleetCheckpointFile loads a checkpoint from path, gzipped or not.
 func ReadFleetCheckpointFile(path string) (FleetCheckpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint: %w", err)
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if isGzip(path) {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return FleetCheckpoint{}, fmt.Errorf("trace: checkpoint gzip: %w", err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	return ReadFleetCheckpoint(r)
+	return readFile(path, "trace: checkpoint", ReadFleetCheckpoint)
 }

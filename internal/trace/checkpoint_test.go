@@ -155,11 +155,11 @@ func TestFleetCheckpointMissingFile(t *testing.T) {
 // checkpoint would silently corrupt a resumed campaign).
 func FuzzCheckpointDecode(f *testing.F) {
 	// Hand seeds covering the envelope's edges; the committed corpus under
-	// testdata/fuzz adds valid, truncated, version-skewed and
-	// trailing-garbage checkpoints.
+	// testdata/fuzz adds valid (format 1 and 2), truncated, version-skewed
+	// and trailing-garbage checkpoints.
 	f.Add([]byte(`{"version":1,"fleet_id":1,"clusters":1,"done":null,"cursors":null}`))
 	f.Add([]byte(`{"version":1,"fleet_id":18446744073709551615,"clusters":2,"done":[],"cursors":[{"cluster":0,"next_day":3}]}`))
-	f.Add([]byte(`{"version":2,"fleet_id":1,"clusters":1,"done":null,"cursors":null}`))
+	f.Add([]byte(`{"version":3,"fleet_id":1,"clusters":1,"done":null,"cursors":null}`))
 	f.Add([]byte(`{"version":1,"fleet_id":1,"clusters":-1,"done":null,"cursors":null}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))

@@ -9,11 +9,11 @@ package trace
 // take.
 
 import (
-	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 
 	"repro/internal/profile"
 )
@@ -45,13 +45,13 @@ func ReadProfileCache(r io.Reader) ([]profile.Measurement, error) {
 	var env profileCacheEnvelope
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("trace: profile cache decode: %w", err)
+		return nil, fmt.Errorf("trace: profile cache decode: %w", corrupt(err))
 	}
 	if err := expectEOF(dec); err != nil {
-		return nil, fmt.Errorf("trace: profile cache decode: %w", err)
+		return nil, fmt.Errorf("trace: profile cache decode: %w", corrupt(err))
 	}
 	if env.Version != ProfileCacheVersion {
-		return nil, fmt.Errorf("trace: profile cache version %d, want %d", env.Version, ProfileCacheVersion)
+		return nil, fmt.Errorf("trace: profile cache: %w %d, want %d", ErrVersion, env.Version, ProfileCacheVersion)
 	}
 	return env.Measurements, nil
 }
@@ -62,27 +62,14 @@ func WriteProfileCacheFile(path string, s *profile.Store) error {
 	return writeFileAtomic(path, "trace", func(w io.Writer) error { return WriteProfileCache(w, s.Entries()) })
 }
 
-// LoadProfileCacheFile loads a persisted cache into the store. A missing
-// file is not an error — the first run of a warm/cold cycle starts cold.
+// LoadProfileCacheFile loads a persisted cache, gzipped or not, into the
+// store. A missing file is not an error — the first run of a warm/cold
+// cycle starts cold.
 func LoadProfileCacheFile(path string, s *profile.Store) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("trace: %w", err)
+	ms, err := readFile(path, "trace", ReadProfileCache)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if isGzip(path) {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return fmt.Errorf("trace: gzip: %w", err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	ms, err := ReadProfileCache(r)
 	if err != nil {
 		return err
 	}

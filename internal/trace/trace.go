@@ -7,12 +7,15 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -23,38 +26,124 @@ import (
 	"repro/internal/workload"
 )
 
-// FormatVersion guards against reading incompatible files.
-const FormatVersion = 1
+// FormatVersion is the database format this build writes: format 2
+// stores each record's PerNode as a counter block (see block.go). Format
+// 1, the same document with PerNode as plain JSON arrays, is still read
+// (readOnlyVersion) so that saved databases keep loading; nothing writes
+// it any more.
+const FormatVersion = 2
 
-// Envelope is the on-disk form.
-type Envelope struct {
+// readOnlyVersion is the plain-JSON format 1 of both the database and the
+// fleet checkpoint, which the readers still accept and convert.
+const readOnlyVersion = 1
+
+// ErrVersion marks an artifact written in a format this build does not
+// read; ErrCorrupt marks one that is not a well-formed artifact of its
+// kind: bad gzip data or CRC, bad JSON, a bad counter block, trailing data
+// or an inconsistent checkpoint. Match them with errors.Is.
+var (
+	ErrVersion = errors.New("unsupported format version")
+	ErrCorrupt = errors.New("corrupt")
+)
+
+// corrupt marks err as ErrCorrupt.
+func corrupt(err error) error { return fmt.Errorf("%w: %w", ErrCorrupt, err) }
+
+// envelope is the on-disk form of format 2.
+type envelope struct {
+	Version int        `json:"version"`
+	Result  wireResult `json:"result"`
+}
+
+// envelopeV1 is the on-disk form of format 1.
+type envelopeV1 struct {
 	Version int             `json:"version"`
 	Result  workload.Result `json:"result"`
 }
 
 // Write serialises the result to w as JSON.
 func Write(w io.Writer, res workload.Result) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(Envelope{Version: FormatVersion, Result: res}); err != nil {
+	if err := json.NewEncoder(w).Encode(envelope{Version: FormatVersion, Result: toWire(res)}); err != nil {
 		return fmt.Errorf("trace: encode: %w", err)
 	}
 	return nil
 }
 
-// Read deserialises a result from r.
+// Read deserialises a result from r, in format 2 or format 1.
 func Read(r io.Reader) (workload.Result, error) {
-	var env Envelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
+	res, err := readResult(r)
+	if err != nil {
 		return workload.Result{}, fmt.Errorf("trace: decode: %w", err)
 	}
-	if err := expectEOF(dec); err != nil {
-		return workload.Result{}, fmt.Errorf("trace: decode: %w", err)
+	return res, nil
+}
+
+// readResult decodes either format; format 1 needs no conversion.
+func readResult(r io.Reader) (workload.Result, error) {
+	dec, v, err := openVersioned(r)
+	if err != nil {
+		return workload.Result{}, err
 	}
-	if env.Version != FormatVersion {
-		return workload.Result{}, fmt.Errorf("trace: version %d, want %d", env.Version, FormatVersion)
+	switch v {
+	case FormatVersion:
+		var env envelope
+		if err := decodeDocument(dec, &env); err != nil {
+			return workload.Result{}, err
+		}
+		return fromWire(env.Result)
+	case readOnlyVersion:
+		var env envelopeV1
+		if err := decodeDocument(dec, &env); err != nil {
+			return workload.Result{}, err
+		}
+		return env.Result, nil
 	}
-	return env.Result, nil
+	return workload.Result{}, fmt.Errorf("%w %d, want %d", ErrVersion, v, FormatVersion)
+}
+
+// openVersioned returns a decoder at the start of r's JSON document and
+// the value of the document's "version" member, which must be its first
+// member, as every writer puts it: the version is read from a peek at the
+// head of the stream, so the document itself is decoded once, streaming,
+// into the type for that version.
+func openVersioned(r io.Reader) (*json.Decoder, int, error) {
+	br := bufio.NewReader(r)
+	head, err := br.Peek(br.Size())
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, 0, readErr(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(head))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil, 0, corrupt(errors.New("not a JSON object"))
+	}
+	if key, err := dec.Token(); err != nil || key != "version" {
+		return nil, 0, corrupt(errors.New(`"version" is not the first member`))
+	}
+	var v int
+	if err := dec.Decode(&v); err != nil {
+		return nil, 0, corrupt(fmt.Errorf("version: %w", err))
+	}
+	return json.NewDecoder(br), v, nil
+}
+
+// decodeDocument decodes the document dec is at into v and requires the
+// stream to end after it — which is also what makes a gzip reader check
+// its CRC.
+func decodeDocument(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return readErr(err)
+	}
+	return readErr(expectEOF(dec))
+}
+
+// readErr marks a decode error ErrCorrupt — bad JSON, or gzip data that
+// fails to inflate or to match its CRC — unless it is an error reading
+// the file itself.
+func readErr(err error) error {
+	if err == nil || errors.As(err, new(*fs.PathError)) {
+		return err
+	}
+	return corrupt(err)
 }
 
 // WriteFile writes the result to path; a ".gz" suffix enables gzip
@@ -154,23 +243,37 @@ func expectEOF(dec *json.Decoder) error {
 	return err
 }
 
-// ReadFile loads a result from path, transparently handling ".gz".
+// ReadFile loads a result from path, gzipped or not.
 func ReadFile(path string) (workload.Result, error) {
+	return readFile(path, "trace", Read)
+}
+
+// gzipMagic opens every gzip stream (RFC 1952).
+var gzipMagic = []byte{0x1f, 0x8b}
+
+// readFile opens path and hands it to decode, decompressed if it starts
+// with the gzip magic bytes: readers go by content, whatever the file is
+// called (the writers choose compression from the ".gz" suffix). Open
+// and gzip-header errors are prefixed with prefix, and a header that does
+// not parse is ErrCorrupt; decode's own errors pass through unchanged.
+func readFile[T any](path, prefix string, decode func(io.Reader) (T, error)) (T, error) {
+	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return workload.Result{}, fmt.Errorf("trace: %w", err)
+		return zero, fmt.Errorf("%s: %w", prefix, err)
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if isGzip(path) {
-		gz, err := gzip.NewReader(f)
+	br := bufio.NewReader(f)
+	var r io.Reader = br
+	if magic, _ := br.Peek(len(gzipMagic)); bytes.Equal(magic, gzipMagic) {
+		gz, err := gzip.NewReader(br)
 		if err != nil {
-			return workload.Result{}, fmt.Errorf("trace: gzip: %w", err)
+			return zero, fmt.Errorf("%s: %w", prefix, corrupt(fmt.Errorf("gzip: %w", err)))
 		}
 		defer gz.Close()
 		r = gz
 	}
-	return Read(r)
+	return decode(r)
 }
 
 // WriteRecordsCSV exports the batch-job database as CSV — the form in
@@ -220,12 +323,8 @@ func WriteRecordsCSV(w io.Writer, recs []pbs.Record) error {
 	return nil
 }
 
-// WriteRecordsCSVFile writes the job database to a file.
+// WriteRecordsCSVFile writes the job database to a file, atomically as
+// every artifact is (and gzipped for a ".gz" path).
 func WriteRecordsCSVFile(path string, recs []pbs.Record) error {
-	fl, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer fl.Close()
-	return WriteRecordsCSV(fl, recs)
+	return writeFileAtomic(path, "trace", func(w io.Writer) error { return WriteRecordsCSV(w, recs) })
 }
